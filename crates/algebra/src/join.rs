@@ -57,189 +57,201 @@ fn batch_pages(batch: &[Obj], attr: &str) -> Vec<(FileId, PageId)> {
     pages
 }
 
-/// Materialize the objects of any collection (set/list members are
-/// dereferenced).
-pub fn materialize(catalog: &Catalog, c: &Collection) -> Result<Vec<Obj>> {
+/// Materialize the objects of any collection. Set/list members are
+/// dereferenced in `exec.parallelism` contiguous chunks, concatenated in
+/// input order: each identifier is dereferenced exactly once.
+pub fn materialize(catalog: &Catalog, c: &Collection, exec: ExecutionConfig) -> Result<Vec<Obj>> {
     Ok(match c {
         Collection::Extent(objs) => objs.clone(),
         Collection::Set(oids) | Collection::List(oids) => {
-            let mut out = Vec::with_capacity(oids.len());
-            for &oid in oids {
-                out.push(deref(catalog, oid)?);
-            }
-            out
+            run_chunked(exec.parallelism, oids, |_, chunk| {
+                chunk.iter().map(|&oid| deref(catalog, oid)).collect()
+            })?
         }
         Collection::NamedObject(o) => vec![o.clone()],
         Collection::Empty => Vec::new(),
     })
 }
 
-/// Chunk-parallel [`materialize`]: set/list members are dereferenced on
-/// worker threads in contiguous chunks, concatenated in input order — the
-/// same object vector the sequential loop builds, with the same number of
-/// page accesses (each identifier dereferenced exactly once).
-pub fn materialize_par(
-    catalog: &Catalog,
-    c: &Collection,
-    exec: ExecutionConfig,
-) -> Result<Vec<Obj>> {
-    match c {
-        Collection::Set(oids) | Collection::List(oids) if exec.is_parallel() => {
-            run_chunked(exec.parallelism, oids, |_, chunk| {
-                chunk.iter().map(|&oid| deref(catalog, oid)).collect()
-            })
-        }
-        other => materialize(catalog, other),
-    }
-}
-
+/// The right side of a join, fixed before probing starts.
 struct Rhs {
     /// Membership filter (None: any object of the right class qualifies).
     allowed: Option<HashSet<Oid>>,
-    /// Pre-materialized right objects (avoids refetching what a previous
-    /// operator already produced).
-    cache: HashMap<Oid, Obj>,
+    /// Right objects known up front: a prior operator's extent output, a
+    /// backward scan, or the warm-up of a parallel probe. `None` records a
+    /// qualifying OID that is dangling.
+    cache: HashMap<Oid, Option<Obj>>,
     /// Right class for the unmaterialized case.
     class: Option<String>,
 }
 
 impl Rhs {
-    fn build(_catalog: &Catalog, rhs: &JoinRhs<'_>) -> Result<Rhs> {
-        Ok(match rhs {
+    fn build(rhs: &JoinRhs<'_>) -> Rhs {
+        match rhs {
             JoinRhs::Class(c) => Rhs {
                 allowed: None,
                 cache: HashMap::new(),
                 class: Some(c.to_string()),
             },
             JoinRhs::Collection(col) => {
-                let mut allowed = HashSet::new();
                 let mut cache = HashMap::new();
                 if let Collection::Extent(objs) = col {
                     for o in objs {
                         if let Some(oid) = o.oid {
-                            allowed.insert(oid);
-                            cache.insert(oid, o.clone());
+                            cache.insert(oid, Some(o.clone()));
                         }
-                    }
-                } else {
-                    for oid in col.oids() {
-                        allowed.insert(oid);
                     }
                 }
                 Rhs {
-                    allowed: Some(allowed),
+                    allowed: Some(col.oids().into_iter().collect()),
                     cache,
                     class: None,
                 }
             }
+        }
+    }
+
+    /// A scanned class extent: every right object is known up front.
+    fn scan(catalog: &Catalog, class: &str) -> Result<Rhs> {
+        let mut cache = HashMap::new();
+        catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
+            cache.insert(oid, Some(Obj::stored(oid, value)));
+            true
+        })?;
+        Ok(Rhs {
+            allowed: Some(cache.keys().copied().collect()),
+            cache,
+            class: None,
         })
+    }
+}
+
+/// One worker's view of an [`Rhs`]: the shared, read-only right side plus
+/// the targets this worker fetched itself.
+struct Probe<'r> {
+    rhs: &'r Rhs,
+    fetched: HashMap<Oid, Option<Obj>>,
+}
+
+impl<'r> Probe<'r> {
+    fn new(rhs: &'r Rhs) -> Probe<'r> {
+        Probe {
+            rhs,
+            fetched: HashMap::new(),
+        }
     }
 
     /// Resolve one referenced OID to a right-side object if it qualifies.
     fn fetch(&mut self, catalog: &Catalog, oid: Oid) -> Result<Option<Obj>> {
-        if let Some(allowed) = &self.allowed {
+        if let Some(allowed) = &self.rhs.allowed {
             if !allowed.contains(&oid) {
                 return Ok(None);
             }
         }
-        if let Some(obj) = self.cache.get(&oid) {
-            return Ok(Some(obj.clone()));
+        if let Some(hit) = self.rhs.cache.get(&oid).or_else(|| self.fetched.get(&oid)) {
+            return Ok(hit.clone());
         }
-        match catalog.get_object(oid) {
+        let obj = match catalog.get_object(oid) {
             Ok((class, value)) => {
-                if let Some(want) = &self.class {
-                    if !catalog.is_subclass(&class, want) {
-                        return Ok(None);
-                    }
-                }
-                let obj = Obj::stored(oid, value);
-                self.cache.insert(oid, obj.clone());
-                Ok(Some(obj))
+                let wanted = self
+                    .rhs
+                    .class
+                    .as_ref()
+                    .is_none_or(|want| catalog.is_subclass(&class, want));
+                wanted.then(|| Obj::stored(oid, value))
             }
             // Dangling references produce no pair (not an error): deleted
             // targets simply do not join.
-            Err(mood_catalog::CatalogError::Storage(_)) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+            Err(mood_catalog::CatalogError::Storage(_)) => None,
+            Err(e) => return Err(e.into()),
+        };
+        self.fetched.insert(oid, obj.clone());
+        Ok(obj)
     }
 }
 
 /// Execute `Join(left, rhs, method, left.attr = rhs.self)`, returning the
 /// joined pairs in left-collection order.
+///
+/// `exec.parallelism` splits the probe side into contiguous chunks run on
+/// worker threads; pairs and their order are those of the sequential run.
+/// `exec.batch_size` is the forward probe's unit: a class right side keeps
+/// its target cache for one batch of left objects and prefetches the
+/// batch's page runs. At `batch_size` 1 the probe fetches once per
+/// reference, the worst case the §6 formulas price, and the total page
+/// accesses are the same at every parallelism.
 pub fn join(
     catalog: &Catalog,
     left: &Collection,
     attr: &str,
     rhs: JoinRhs<'_>,
     method: JoinMethod,
+    exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
     match method {
-        JoinMethod::ForwardTraversal => forward(catalog, left, attr, rhs),
-        JoinMethod::BackwardTraversal => backward(catalog, left, attr, rhs),
-        JoinMethod::BinaryJoinIndex => indexed(catalog, left, attr, rhs),
-        JoinMethod::HashPartition => hash_partition(catalog, left, attr, rhs),
+        JoinMethod::ForwardTraversal | JoinMethod::BackwardTraversal => {
+            let rhs = match (method, rhs) {
+                // §6.2's access pattern: the D side is read by one
+                // sequential extent scan up front; the join itself is then
+                // pure CPU work (membership tests against the scanned map).
+                (JoinMethod::BackwardTraversal, JoinRhs::Class(class)) => {
+                    Rhs::scan(catalog, class)?
+                }
+                (_, rhs) => Rhs::build(&rhs),
+            };
+            traverse(catalog, &materialize(catalog, left, exec)?, attr, rhs, exec)
+        }
+        JoinMethod::BinaryJoinIndex => {
+            indexed(catalog, &materialize(catalog, left, exec)?, attr, rhs, exec)
+        }
+        JoinMethod::HashPartition => {
+            let left_objs = materialize(catalog, left, exec)?;
+            hash_partition(catalog, &left_objs, attr, Rhs::build(&rhs), exec)
+        }
     }
 }
 
-/// Chunk-parallel [`join`]: identical pairs in identical order, with the
-/// same *total* page-access counts as the sequential method (the accesses
-/// are redistributed across worker threads, never multiplied — see each
-/// method's strategy below).
-pub fn join_par(
+/// Forward and backward traversal: for each left object, chase `attr`'s
+/// reference(s) and look the target up on the right side (§6.1's pattern:
+/// one random access per reference).
+///
+/// * A class right side (forward traversal) has no targets cached. Its
+///   probe cache lives for one batch, so at `batch_size` 1 every reference
+///   pays its fetch and shared targets are refetched — the paper's
+///   worst-case ftc. The buffer pool still absorbs repeats when it is
+///   large, exactly the effect §6.1 calls out. Left chunks are independent,
+///   so each worker fetches one target per reference, as sequentially.
+/// * Any other right side keeps its cache for the whole join and fetches
+///   each distinct qualifying target once. In parallel, those fetches run
+///   first in one sequential warm-up pass (first-encounter order, the
+///   sequential access sequence); the workers then only read the cache.
+fn traverse(
     catalog: &Catalog,
-    left: &Collection,
+    left_objs: &[Obj],
     attr: &str,
-    rhs: JoinRhs<'_>,
-    method: JoinMethod,
+    mut rhs: Rhs,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    if !exec.is_parallel() {
-        return join(catalog, left, attr, rhs, method);
-    }
-    match method {
-        JoinMethod::ForwardTraversal => forward_par(catalog, left, attr, rhs, exec),
-        JoinMethod::BackwardTraversal => backward_par(catalog, left, attr, rhs, exec),
-        JoinMethod::BinaryJoinIndex => indexed_par(catalog, left, attr, rhs, exec),
-        JoinMethod::HashPartition => hash_partition_par(catalog, left, attr, rhs, exec),
-    }
-}
-
-/// Batched probe-side [`join`]: identical pairs in identical order, but the
-/// forward-traversal probe keeps its target cache for a *batch* of
-/// `exec.batch_size` left objects instead of clearing it per left object —
-/// references shared within a batch fetch their target once. This is an
-/// opt-in variant: the plain [`join`] keeps the paper's worst-case
-/// per-reference fetch pattern that the §6.1 cost formulas (and their
-/// tests) are checked against. Every probed batch is recorded in the
-/// `batch.rows`/`batch.count` counters. Non-forward methods already probe
-/// each distinct target once and are delegated unchanged.
-pub fn join_batched(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    method: JoinMethod,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    if method != JoinMethod::ForwardTraversal {
-        return join_par(catalog, left, attr, rhs, method, exec);
+    let per_batch = rhs.allowed.is_none();
+    if !per_batch && exec.is_parallel() {
+        let mut warm = Probe::new(&rhs);
+        for l in left_objs {
+            for oid in l.value.field(attr).map(ref_oids).unwrap_or_default() {
+                warm.fetch(catalog, oid)?;
+            }
+        }
+        let fetched = warm.fetched;
+        rhs.cache.extend(fetched);
     }
     let batch_size = exec.batch_size.max(1);
-    let registry = catalog.storage().registry().clone();
-    let pool = catalog.storage().pool().clone();
-    let left_objs = materialize_par(catalog, left, exec)?;
-    let template = Rhs::build(catalog, &rhs)?;
-    let probe = |chunk: &[Obj]| -> Result<Vec<(Obj, Obj)>> {
-        let mut rhs = Rhs {
-            allowed: template.allowed.clone(),
-            cache: template.cache.clone(),
-            class: template.class.clone(),
-        };
-        let keep_cache = rhs.allowed.is_some();
+    let prefetch = per_batch && batch_size > 1;
+    let storage = catalog.storage();
+    run_chunked(exec.parallelism, left_objs, |_, chunk| {
+        let mut probe = Probe::new(&rhs);
         let mut out = Vec::new();
         for batch in chunk.chunks(batch_size) {
-            if !keep_cache {
-                rhs.cache.clear();
+            if per_batch {
+                probe.fetched.clear();
             }
             // Pipelined probe prefetch: at each probe past the last
             // prefetched run, batch-read the consecutive page run ahead
@@ -247,323 +259,59 @@ pub fn join_batched(
             // `BufferPool::prefetch_run`). On a clustered heap the chase
             // becomes one batched read per window; on a scattered heap
             // the runs degenerate to single pages and nothing is issued.
-            let pages = batch_pages(batch, attr);
+            let pages = if prefetch {
+                batch_pages(batch, attr)
+            } else {
+                Vec::new()
+            };
             let mut pf_end: Option<(FileId, u32)> = None;
             for l in batch {
-                let Some(v) = l.value.field(attr) else {
-                    continue;
-                };
-                for oid in ref_oids(v) {
-                    if pf_end.is_none_or(|(f, end)| f != oid.file || oid.page.0 >= end) {
-                        let n = pool.prefetch_run(&pages, (oid.file, oid.page));
+                for oid in l.value.field(attr).map(ref_oids).unwrap_or_default() {
+                    if prefetch && pf_end.is_none_or(|(f, end)| f != oid.file || oid.page.0 >= end)
+                    {
+                        let n = storage.pool().prefetch_run(&pages, (oid.file, oid.page));
                         if n > 0 {
                             pf_end = Some((oid.file, oid.page.0 + n));
                         }
                     }
-                    if let Some(r) = rhs.fetch(catalog, oid)? {
+                    if let Some(r) = probe.fetch(catalog, oid)? {
                         out.push((l.clone(), r));
                     }
                 }
             }
-            registry.record_batch(batch.len() as u64);
-        }
-        Ok(out)
-    };
-    if exec.is_parallel() {
-        run_chunked(exec.parallelism, &left_objs, |_, chunk| probe(chunk))
-    } else {
-        probe(&left_objs)
-    }
-}
-
-/// Forward traversal: for each left object, chase `attr`'s reference(s) and
-/// fetch the target (one random access per reference; §6.1's pattern).
-fn forward(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-) -> Result<Vec<(Obj, Obj)>> {
-    let mut rhs = Rhs::build(catalog, &rhs)?;
-    // Forward traversal pays the pointer fetch per *reference*: clear the
-    // cache between left objects so shared targets are refetched, matching
-    // the paper's worst-case ftc (no page hits for D). The buffer pool
-    // still absorbs repeats when it is large — exactly the effect §6.1
-    // calls out.
-    let keep_cache = rhs.allowed.is_some();
-    let mut out = Vec::new();
-    for l in materialize(catalog, left)? {
-        if !keep_cache {
-            rhs.cache.clear();
-        }
-        let Some(v) = l.value.field(attr) else {
-            continue;
-        };
-        for oid in ref_oids(v) {
-            if let Some(r) = rhs.fetch(catalog, oid)? {
-                out.push((l.clone(), r));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel forward traversal.
-///
-/// * Class rhs: the sequential method clears its target cache between left
-///   objects (every reference pays its fetch), so left chunks are fully
-///   independent — each worker runs the sequential loop with its own `Rhs`
-///   over its chunk. Total fetches: one per reference, same as sequential.
-/// * Collection rhs: the sequential method keeps its cache, fetching each
-///   distinct qualifying target once. The parallel version performs those
-///   fetches in one sequential warm-up pass (first-encounter order — the
-///   exact access sequence of the sequential method), then emits pairs from
-///   the read-only cache on worker threads.
-fn forward_par(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left)?;
-    match &rhs {
-        JoinRhs::Class(class) => {
-            let class = class.to_string();
-            run_chunked(exec.parallelism, &left_objs, |_, chunk| {
-                let mut rhs = Rhs {
-                    allowed: None,
-                    cache: HashMap::new(),
-                    class: Some(class.clone()),
-                };
-                let mut out = Vec::new();
-                for l in chunk {
-                    rhs.cache.clear();
-                    let Some(v) = l.value.field(attr) else {
-                        continue;
-                    };
-                    for oid in ref_oids(v) {
-                        if let Some(r) = rhs.fetch(catalog, oid)? {
-                            out.push((l.clone(), r));
-                        }
-                    }
-                }
-                Ok(out)
-            })
-        }
-        JoinRhs::Collection(_) => {
-            let mut warm = Rhs::build(catalog, &rhs)?;
-            for l in &left_objs {
-                if let Some(v) = l.value.field(attr) {
-                    for oid in ref_oids(v) {
-                        let _ = warm.fetch(catalog, oid)?;
-                    }
-                }
-            }
-            emit_cached_pairs(&left_objs, attr, &warm, exec)
-        }
-    }
-}
-
-/// Emit join pairs for left objects against a fully warmed `Rhs` (every
-/// qualifying target already cached) on worker threads. Purely CPU work —
-/// no page accesses happen here.
-fn emit_cached_pairs(
-    left_objs: &[Obj],
-    attr: &str,
-    rhs: &Rhs,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    run_chunked(exec.parallelism, left_objs, |_, chunk| {
-        let mut out = Vec::new();
-        for l in chunk {
-            let Some(v) = l.value.field(attr) else {
-                continue;
-            };
-            for oid in ref_oids(v) {
-                if let Some(allowed) = &rhs.allowed {
-                    if !allowed.contains(&oid) {
-                        continue;
-                    }
-                }
-                // Qualifying targets were cached by the warm-up pass; a
-                // qualifying-but-uncached OID is a dangling reference and
-                // produces no pair, as in the sequential method.
-                if let Some(r) = rhs.cache.get(&oid) {
-                    out.push((l.clone(), r.clone()));
-                }
+            if prefetch {
+                storage.registry().record_batch(batch.len() as u64);
             }
         }
         Ok(out)
     })
 }
 
-/// Backward traversal: sequentially scan the *left* class extent and test
-/// every object's reference against the right side (§6.2's pattern: used
-/// when the D-objects are known and C must be found).
-fn backward(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-) -> Result<Vec<(Obj, Obj)>> {
-    let mut rhs = match rhs {
-        // §6.2's access pattern: the D side is read by one sequential
-        // extent scan up front; the join itself is then pure CPU work
-        // (reference-membership tests against the materialized map).
-        JoinRhs::Class(class) => {
-            let mut allowed = HashSet::new();
-            let mut cache = HashMap::new();
-            catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-                allowed.insert(oid);
-                cache.insert(oid, Obj::stored(oid, value));
-                true
-            })?;
-            Rhs {
-                allowed: Some(allowed),
-                cache,
-                class: None,
-            }
-        }
-        other => Rhs::build(catalog, &other)?,
-    };
-    let mut out = Vec::new();
-    for l in materialize(catalog, left)? {
-        let Some(v) = l.value.field(attr) else {
-            continue;
-        };
-        for oid in ref_oids(v) {
-            if let Some(r) = rhs.fetch(catalog, oid)? {
-                out.push((l.clone(), r));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel backward traversal: the right side is materialized up front by
-/// the same sequential scan the sequential method performs (that scan *is*
-/// the §6.2 access pattern — parallelizing it would change the page-access
-/// ordering); the subsequent reference-membership testing is pure CPU work
-/// and runs on worker threads over left chunks.
-fn backward_par(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left)?;
-    let mut warm = match rhs {
-        JoinRhs::Class(class) => {
-            let mut allowed = HashSet::new();
-            let mut cache = HashMap::new();
-            catalog.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-                allowed.insert(oid);
-                cache.insert(oid, Obj::stored(oid, value));
-                true
-            })?;
-            Rhs {
-                allowed: Some(allowed),
-                cache,
-                class: None,
-            }
-        }
-        other => Rhs::build(catalog, &other)?,
-    };
-    // Collection rhs built from a set/list has membership but no cached
-    // objects yet; warm it in first-encounter order (the sequential access
-    // sequence) so emission needs no further page accesses.
-    for l in &left_objs {
-        if let Some(v) = l.value.field(attr) {
-            for oid in ref_oids(v) {
-                let _ = warm.fetch(catalog, oid)?;
-            }
-        }
-    }
-    emit_cached_pairs(&left_objs, attr, &warm, exec)
-}
-
 /// Indexed join through the *binary join index* on (left-class, attr): for
 /// each qualifying right object, probe the index for the left OIDs that
 /// reference it (§6.3's pattern). Requires the index to exist and the left
 /// collection to be a class extent (the index covers the stored extent).
+/// Index probes are read-only, so right objects are probed in contiguous
+/// chunks on worker threads, each exactly once.
 fn indexed(
     catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-) -> Result<Vec<(Obj, Obj)>> {
-    // Identify the left class from the extent's stored objects.
-    let left_objs = materialize(catalog, left)?;
-    let Some(first_oid) = left_objs.iter().find_map(|o| o.oid) else {
-        return Ok(Vec::new());
-    };
-    let (left_class, _) = catalog.get_object(first_oid)?;
-    let left_filter: HashSet<Oid> = left_objs.iter().filter_map(|o| o.oid).collect();
-    let left_by_oid: HashMap<Oid, &Obj> = left_objs
-        .iter()
-        .filter_map(|o| o.oid.map(|id| (id, o)))
-        .collect();
-
-    let right_objs: Vec<Obj> = match rhs {
-        JoinRhs::Collection(c) => materialize(catalog, c)?,
-        JoinRhs::Class(c) => {
-            let mut objs = Vec::new();
-            catalog.extent_with(c, AccessHint::Sequential, &mut |oid, v| {
-                objs.push(Obj::stored(oid, v));
-                true
-            })?;
-            objs
-        }
-    };
-    if catalog.index(&left_class, attr).is_none() {
-        return Err(AlgebraError::NotApplicable {
-            operator: "Join(BINARY_JOIN_INDEX)",
-            detail: format!("no binary join index on {left_class}.{attr}"),
-        });
-    }
-    let mut out = Vec::new();
-    for r in &right_objs {
-        let Some(r_oid) = r.oid else { continue };
-        for l_oid in catalog.index_lookup(&left_class, attr, &Value::Ref(r_oid))? {
-            if left_filter.contains(&l_oid) {
-                out.push(((*left_by_oid[&l_oid]).clone(), r.clone()));
-            }
-        }
-    }
-    // Index probes return right-major order; normalize to left order for
-    // comparability across methods.
-    out.sort_by_key(|(l, _)| l.oid);
-    Ok(out)
-}
-
-/// Parallel indexed join: index probes are read-only, so right objects are
-/// probed on worker threads in contiguous chunks. Each right object is
-/// probed exactly once either way (same index page-access total), the
-/// chunk-ordered concatenation reproduces the sequential right-major pair
-/// order, and the final stable sort by left OID is shared with the
-/// sequential method — identical output.
-fn indexed_par(
-    catalog: &Catalog,
-    left: &Collection,
+    left_objs: &[Obj],
     attr: &str,
     rhs: JoinRhs<'_>,
     exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    let left_objs = materialize(catalog, left)?;
+    // Identify the left class from the extent's stored objects.
     let Some(first_oid) = left_objs.iter().find_map(|o| o.oid) else {
         return Ok(Vec::new());
     };
     let (left_class, _) = catalog.get_object(first_oid)?;
-    let left_filter: HashSet<Oid> = left_objs.iter().filter_map(|o| o.oid).collect();
     let left_by_oid: HashMap<Oid, &Obj> = left_objs
         .iter()
         .filter_map(|o| o.oid.map(|id| (id, o)))
         .collect();
 
     let right_objs: Vec<Obj> = match rhs {
-        JoinRhs::Collection(c) => materialize(catalog, c)?,
+        JoinRhs::Collection(c) => materialize(catalog, c, exec)?,
         JoinRhs::Class(c) => {
             let mut objs = Vec::new();
             catalog.extent_with(c, AccessHint::Sequential, &mut |oid, v| {
@@ -584,13 +332,15 @@ fn indexed_par(
         for r in chunk {
             let Some(r_oid) = r.oid else { continue };
             for l_oid in catalog.index_lookup(&left_class, attr, &Value::Ref(r_oid))? {
-                if left_filter.contains(&l_oid) {
-                    pairs.push(((*left_by_oid[&l_oid]).clone(), r.clone()));
+                if let Some(l) = left_by_oid.get(&l_oid) {
+                    pairs.push(((*l).clone(), r.clone()));
                 }
             }
         }
         Ok::<_, AlgebraError>(pairs)
     })?;
+    // Index probes return right-major order; normalize to left order for
+    // comparability across methods.
     out.sort_by_key(|(l, _)| l.oid);
     Ok(out)
 }
@@ -598,42 +348,21 @@ fn indexed_par(
 /// Pointer-based hash-partition join (§6.4): partition the left objects on
 /// the pointer field, then chase each *distinct* pointer once and emit all
 /// pairs for that target. Only applicable when `attr` is a plain Reference
-/// (the paper's stated restriction).
+/// (the paper's stated restriction). The sorted distinct keys are probed
+/// in contiguous chunks; workers hold disjoint keys, so each target is
+/// still fetched exactly once.
 fn hash_partition(
     catalog: &Catalog,
-    left: &Collection,
+    left_objs: &[Obj],
     attr: &str,
-    rhs: JoinRhs<'_>,
+    rhs: Rhs,
+    exec: ExecutionConfig,
 ) -> Result<Vec<(Obj, Obj)>> {
-    let mut rhs = Rhs::build(catalog, &rhs)?;
-    let left_objs = materialize(catalog, left)?;
-    let partitions = partition_on_ref(&left_objs, attr)?;
-    // Probe phase: each distinct target fetched once.
-    let mut keys: Vec<Oid> = partitions.keys().copied().collect();
-    keys.sort();
-    let mut out = Vec::new();
-    for oid in keys {
-        if let Some(r) = rhs.fetch(catalog, oid)? {
-            for &i in &partitions[&oid] {
-                out.push((left_objs[i].clone(), r.clone()));
-            }
-        }
-    }
-    out.sort_by_key(|(l, _)| l.oid);
-    Ok(out)
-}
-
-/// Partition phase shared by the sequential and parallel hash-partition
-/// join: group left-object indices by referenced OID.
-fn partition_on_ref(left_objs: &[Obj], attr: &str) -> Result<HashMap<Oid, Vec<usize>>> {
     let mut partitions: HashMap<Oid, Vec<usize>> = HashMap::new();
     for (i, l) in left_objs.iter().enumerate() {
-        let Some(v) = l.value.field(attr) else {
-            continue;
-        };
-        match v {
-            Value::Ref(oid) => partitions.entry(*oid).or_default().push(i),
-            Value::Set(_) | Value::List(_) => {
+        match l.value.field(attr) {
+            Some(Value::Ref(oid)) => partitions.entry(*oid).or_default().push(i),
+            Some(Value::Set(_) | Value::List(_)) => {
                 return Err(AlgebraError::NotApplicable {
                     operator: "Join(HASH_PARTITION)",
                     detail: format!(
@@ -645,37 +374,14 @@ fn partition_on_ref(left_objs: &[Obj], attr: &str) -> Result<HashMap<Oid, Vec<us
             _ => {}
         }
     }
-    Ok(partitions)
-}
-
-/// Parallel hash-partition join: the partition phase is shared, then the
-/// *sorted distinct keys* are split into contiguous chunks probed on worker
-/// threads. Workers hold disjoint key sets, so each target is still fetched
-/// exactly once globally (per-worker `Rhs` state never overlaps); the
-/// chunk-ordered concatenation reproduces the sequential key-order pair
-/// stream, and the shared final stable sort by left OID makes the output
-/// identical.
-fn hash_partition_par(
-    catalog: &Catalog,
-    left: &Collection,
-    attr: &str,
-    rhs: JoinRhs<'_>,
-    exec: ExecutionConfig,
-) -> Result<Vec<(Obj, Obj)>> {
-    let base = Rhs::build(catalog, &rhs)?;
-    let left_objs = materialize(catalog, left)?;
-    let partitions = partition_on_ref(&left_objs, attr)?;
+    // Probe phase: each distinct target fetched once.
     let mut keys: Vec<Oid> = partitions.keys().copied().collect();
     keys.sort();
     let mut out = run_chunked(exec.parallelism, &keys, |_, chunk| {
-        let mut rhs = Rhs {
-            allowed: base.allowed.clone(),
-            cache: base.cache.clone(),
-            class: base.class.clone(),
-        };
+        let mut probe = Probe::new(&rhs);
         let mut pairs = Vec::new();
         for &oid in chunk {
-            if let Some(r) = rhs.fetch(catalog, oid)? {
+            if let Some(r) = probe.fetch(catalog, oid)? {
                 for &i in &partitions[&oid] {
                     pairs.push((left_objs[i].clone(), r.clone()));
                 }
@@ -790,6 +496,7 @@ mod tests {
                 "drivetrain",
                 JoinRhs::Class("VehicleDriveTrain"),
                 JoinMethod::ForwardTraversal,
+                ExecutionConfig::default(),
             )
             .unwrap();
             assert_eq!(pairs.len(), 20, "every car joins its drivetrain");
@@ -806,6 +513,7 @@ mod tests {
                 "drivetrain",
                 JoinRhs::Class("VehicleDriveTrain"),
                 method,
+                ExecutionConfig::default(),
             )
             .unwrap();
             assert_eq!(pair_ids(&pairs), expected, "{method:?} disagrees");
@@ -824,6 +532,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Collection(&rhs),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 4, "cars 0,5,10,15");
@@ -842,6 +551,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::HashPartition,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 20);
@@ -861,6 +571,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::BinaryJoinIndex,
+            ExecutionConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, AlgebraError::NotApplicable { .. }));
@@ -877,6 +588,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 16, "4 cars lost their drivetrain");
@@ -896,6 +608,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert!(pairs.is_empty());
@@ -926,6 +639,7 @@ mod tests {
             "vehicles",
             JoinRhs::Class("Vehicle"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         assert_eq!(pairs.len(), 2);
@@ -937,6 +651,7 @@ mod tests {
             "vehicles",
             JoinRhs::Class("Vehicle"),
             JoinMethod::HashPartition,
+            ExecutionConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, AlgebraError::NotApplicable { .. }));
@@ -952,6 +667,7 @@ mod tests {
             "drivetrain",
             JoinRhs::Class("VehicleDriveTrain"),
             JoinMethod::ForwardTraversal,
+            ExecutionConfig::default(),
         )
         .unwrap();
         let as_extent = pairs_to_collection(pairs.clone(), Kind::Extent, Kind::Extent);

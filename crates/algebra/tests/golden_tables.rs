@@ -9,11 +9,18 @@ use std::sync::Arc;
 use mood_algebra::{
     as_extent_return, as_set_list_elements, difference, dup_elim, dupelim_return, intersection,
     join, join_return, select, select_return, setop_return, union, unnest, unnest_accepts,
-    Collection, JoinMethod, JoinRhs, Kind, Obj,
+    Collection, ExecutionConfig, JoinMethod, JoinRhs, Kind, Obj, Predicate,
 };
 use mood_catalog::{Catalog, ClassBuilder};
 use mood_datamodel::{TypeDescriptor, Value};
 use mood_storage::{Oid, StorageManager};
+
+/// Row-at-a-time, sequential: the configuration the tables describe.
+const EXEC: ExecutionConfig = ExecutionConfig {
+    parallelism: 1,
+    batch_size: 1,
+    sort_budget: mood_storage::exec::DEFAULT_SORT_BUDGET,
+};
 
 const ALL_KINDS: [Kind; 4] = [Kind::Extent, Kind::Set, Kind::List, Kind::NamedObject];
 
@@ -82,7 +89,7 @@ fn table_1_select_behavior_matches_rule() {
         Collection::List(c_oids.clone()),
     ];
     for arg in &inputs {
-        let out = select(&cat, arg, &|_| Ok(true)).unwrap();
+        let out = select(&cat, arg, Predicate::Closure(&|_| Ok(true)), EXEC).unwrap();
         assert_eq!(
             out.kind(),
             arg.kind(),
@@ -128,7 +135,7 @@ fn table_2_join_pairs_one_per_reference() {
     let (cat, c_oids, _) = fixture();
     let left = extent_of(&cat, &c_oids);
     for method in JoinMethod::ALL {
-        let pairs = join(&cat, &left, "d", JoinRhs::Class("D"), method).unwrap();
+        let pairs = join(&cat, &left, "d", JoinRhs::Class("D"), method, EXEC).unwrap();
         assert_eq!(pairs.len(), c_oids.len(), "{method:?}: one pair per C");
     }
 }
@@ -156,16 +163,16 @@ fn table_3_dupelim_rule() {
 fn table_3_dupelim_behavior_matches_rule() {
     let (cat, c_oids, _) = fixture();
     // Set: not applicable.
-    assert!(dup_elim(&cat, &Collection::set_from(c_oids.clone())).is_err());
+    assert!(dup_elim(&cat, &Collection::set_from(c_oids.clone()), EXEC).is_err());
     // List: ordered distinct OIDs.
     let dupes = vec![c_oids[2], c_oids[0], c_oids[2], c_oids[1], c_oids[0]];
-    let out = dup_elim(&cat, &Collection::List(dupes)).unwrap();
+    let out = dup_elim(&cat, &Collection::List(dupes), EXEC).unwrap();
     let mut want = vec![c_oids[0], c_oids[1], c_oids[2]];
     want.sort();
     assert_eq!(out, Collection::List(want));
     // Extent: deep equality collapses distinct objects with equal state.
     let twice = [&c_oids[..], &c_oids[..]].concat();
-    let out = dup_elim(&cat, &extent_of(&cat, &twice)).unwrap();
+    let out = dup_elim(&cat, &extent_of(&cat, &twice), EXEC).unwrap();
     assert_eq!(out.kind(), Some(Kind::Extent));
     assert_eq!(out.len(), c_oids.len(), "duplicate OIDs collapse");
 }
@@ -198,12 +205,24 @@ fn table_4_setop_behavior_matches_rule() {
     let s = Collection::set_from(c_oids[..4].to_vec());
     let l = Collection::List(c_oids[2..].to_vec());
     for op in [union, intersection, difference] {
-        assert_eq!(op(&s, &s).unwrap().kind(), Some(Kind::Set), "Set op Set");
-        assert_eq!(op(&s, &l).unwrap().kind(), Some(Kind::Set), "Set op List");
-        assert_eq!(op(&l, &s).unwrap().kind(), Some(Kind::Set), "List op Set");
+        assert_eq!(
+            op(&s, &s, EXEC).unwrap().kind(),
+            Some(Kind::Set),
+            "Set op Set"
+        );
+        assert_eq!(
+            op(&s, &l, EXEC).unwrap().kind(),
+            Some(Kind::Set),
+            "Set op List"
+        );
+        assert_eq!(
+            op(&l, &s, EXEC).unwrap().kind(),
+            Some(Kind::Set),
+            "List op Set"
+        );
     }
     // List ∪ List is concatenation (array semantics), staying a list.
-    let u = union(&l, &l).unwrap();
+    let u = union(&l, &l, EXEC).unwrap();
     assert_eq!(u.kind(), Some(Kind::List));
     assert_eq!(u.len(), 2 * l.len(), "list union concatenates");
 }

@@ -9,9 +9,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mood_bench::{build_ref_db, measured_join_pages, RefDbSpec};
-use mood_core::algebra::{
-    join, join_par, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj,
-};
+use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
 use mood_core::PhysicalParams;
 
 fn bench(c: &mut Criterion) {
@@ -77,9 +75,9 @@ fn bench(c: &mut Criterion) {
     );
     let mut base_ms = f64::NAN;
     for par in [1usize, 2, 4, 8] {
-        let exec = ExecutionConfig::with_parallelism(par);
+        let exec = ExecutionConfig::with_parallelism(par).with_batch_size(1);
         // Warm the pool so every level sees the same cache state.
-        join_par(pcatalog, &pleft, "d", JoinRhs::Class("D"), JoinMethod::HashPartition, exec)
+        join(pcatalog, &pleft, "d", JoinRhs::Class("D"), JoinMethod::HashPartition, exec)
             .expect("join runs");
         let metrics = pdb.metrics();
         metrics.reset();
@@ -87,7 +85,7 @@ fn bench(c: &mut Criterion) {
         const ITERS: usize = 5;
         let t0 = Instant::now();
         for _ in 0..ITERS {
-            join_par(
+            join(
                 pcatalog,
                 &pleft,
                 "d",
@@ -118,6 +116,7 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     let catalog = db.catalog();
+    let row_at_a_time = ExecutionConfig::default().with_batch_size(1);
     for k_c in [10usize, 1000, 4000] {
         let subset: Vec<Obj> = c_oids[..k_c]
             .iter()
@@ -133,7 +132,7 @@ fn bench(c: &mut Criterion) {
                 &left,
                 |b, left| {
                     b.iter(|| {
-                        join(catalog, left, "d", JoinRhs::Class("D"), method)
+                        join(catalog, left, "d", JoinRhs::Class("D"), method, row_at_a_time)
                             .expect("join runs")
                             .len()
                     })
@@ -148,10 +147,10 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     for par in [1usize, 2, 4, 8] {
-        let exec = ExecutionConfig::with_parallelism(par);
+        let exec = ExecutionConfig::with_parallelism(par).with_batch_size(1);
         pgroup.bench_with_input(BenchmarkId::new("par", par), &pleft, |b, left| {
             b.iter(|| {
-                join_par(
+                join(
                     pcatalog,
                     left,
                     "d",

@@ -52,14 +52,19 @@ struct Sizes {
 const PARALLELISMS: [usize; 4] = [1, 2, 4, 8];
 
 /// One measurement: parallelism, elapsed seconds, records per second, and
-/// per-operation latency quantiles (microseconds; zero when the workload
-/// has no per-op timing).
+/// per-operation latency quantiles (microseconds; `None`, emitted as JSON
+/// `null`, when the workload has no per-op timing).
 struct Row {
     par: usize,
     secs: f64,
     per_second: f64,
-    p50_us: f64,
-    p99_us: f64,
+    p50_us: Option<f64>,
+    p99_us: Option<f64>,
+}
+
+/// A latency quantile as JSON: microseconds, or `null` when not measured.
+fn json_us(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), |us| format!("{us:.1}"))
 }
 
 /// Nearest-rank percentile over raw per-op latencies (sorts in place).
@@ -180,8 +185,8 @@ fn main() {
             par,
             secs,
             per_second: rows as f64 / secs,
-            p50_us: 0.0,
-            p99_us: 0.0,
+            p50_us: None,
+            p99_us: None,
         });
     }
     results.push(("scan", scan_rows));
@@ -207,8 +212,8 @@ fn main() {
             par,
             secs,
             per_second: point_oids.len() as f64 / secs,
-            p50_us: percentile_us(&mut lat, 0.50),
-            p99_us: percentile_us(&mut lat, 0.99),
+            p50_us: Some(percentile_us(&mut lat, 0.50)),
+            p99_us: Some(percentile_us(&mut lat, 0.99)),
         });
     }
     results.push(("point_get", get_rows));
@@ -237,8 +242,8 @@ fn main() {
             par,
             secs,
             per_second: left_oids.len() as f64 / secs,
-            p50_us: percentile_us(&mut lat, 0.50),
-            p99_us: percentile_us(&mut lat, 0.99),
+            p50_us: Some(percentile_us(&mut lat, 0.50)),
+            p99_us: Some(percentile_us(&mut lat, 0.99)),
         });
     }
     results.push(("join", join_rows));
@@ -309,8 +314,8 @@ fn main() {
                 par,
                 secs,
                 per_second: lefts.len() as f64 / secs,
-                p50_us: percentile_us(&mut lat, 0.50),
-                p99_us: percentile_us(&mut lat, 0.99),
+                p50_us: Some(percentile_us(&mut lat, 0.50)),
+                p99_us: Some(percentile_us(&mut lat, 0.99)),
             });
         }
         results.push((name, rows));
@@ -344,8 +349,12 @@ fn main() {
         for r in rows {
             json.push_str(&format!(
                 "      \"p{}\": {{\"seconds\": {:.6}, \"per_second\": {:.1}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n",
-                r.par, r.secs, r.per_second, r.p50_us, r.p99_us
+                 \"p50_us\": {}, \"p99_us\": {}}},\n",
+                r.par,
+                r.secs,
+                r.per_second,
+                json_us(r.p50_us),
+                json_us(r.p99_us)
             ));
         }
         let speedup = rows[3].per_second / rows[0].per_second;
@@ -355,15 +364,16 @@ fn main() {
         } else {
             "    }\n"
         });
+        let latency = match (rows[3].p50_us, rows[3].p99_us) {
+            (Some(p50), Some(p99)) => format!("  p8 op p50 {p50:.0}us p99 {p99:.0}us"),
+            _ => String::new(),
+        };
         println!(
-            "{name:>9}: p1 {:8.0}/s  p2 {:8.0}/s  p4 {:8.0}/s  p8 {:8.0}/s  speedup {speedup:.2}x  \
-             p8 op p50 {:.0}us p99 {:.0}us",
+            "{name:>9}: p1 {:8.0}/s  p2 {:8.0}/s  p4 {:8.0}/s  p8 {:8.0}/s  speedup {speedup:.2}x{latency}",
             rows[0].per_second,
             rows[1].per_second,
             rows[2].per_second,
             rows[3].per_second,
-            rows[3].p50_us,
-            rows[3].p99_us
         );
         if matches!(*name, "scan" | "join") && !sizes.smoke && speedup < 2.0 {
             ok = false;

@@ -1,6 +1,6 @@
 //! Measured-vs-model comparison helpers for the join experiments (X1).
 
-use mood_core::algebra::{join, Collection, JoinMethod, JoinRhs, Obj};
+use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
 use mood_core::cost::{join_cost, ClassInfo, IndexParams, JoinInputs, DEFAULT_CPU_COST};
 use mood_core::{Mood, Oid, PhysicalParams};
 
@@ -22,7 +22,8 @@ pub struct JoinMeasurement {
 }
 
 /// Execute a `C.d = D.self` join over the first `k_c` C-objects with the
-/// given method, measuring physical page reads.
+/// given method, measuring physical page reads. The join runs row at a
+/// time (`batch_size` 1), the access pattern the §6 formulas price.
 pub fn measured_join_pages(
     db: &Mood,
     c_oids: &[Oid],
@@ -42,7 +43,8 @@ pub fn measured_join_pages(
     let metrics = db.metrics();
     metrics.reset();
     let before = metrics.snapshot();
-    let pairs = join(catalog, &left, "d", JoinRhs::Class("D"), method).expect("join runs");
+    let exec = ExecutionConfig::default().with_batch_size(1);
+    let pairs = join(catalog, &left, "d", JoinRhs::Class("D"), method, exec).expect("join runs");
     let delta = metrics.snapshot().delta(&before);
     JoinMeasurement {
         method,
@@ -153,6 +155,18 @@ mod tests {
         let idx = &by_method[2];
         assert!(idx.idx_pages > 0, "{idx:?}");
         assert_eq!(by_method[0].idx_pages, 0);
+        // The §6 access pattern of each method, pinned: (pairs, seq, rnd,
+        // idx) physical page reads on this spec.
+        let pinned = [
+            (600, 0, 218, 0), // forward: one random fetch per reference
+            (600, 13, 0, 0),  // backward: one sequential D scan
+            (600, 13, 1, 8),  // binary join index: D scan + index probes
+            (600, 0, 13, 0),  // hash partition: each distinct target once
+        ];
+        for (m, want) in by_method.iter().zip(pinned) {
+            let got = (m.pairs, m.seq_pages, m.rnd_pages, m.idx_pages);
+            assert_eq!(got, want, "{:?} page accesses", m.method);
+        }
     }
 
     #[test]

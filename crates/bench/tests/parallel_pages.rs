@@ -1,12 +1,13 @@
-//! Parallel execution must not change what the cost model prices: the
-//! hash-partition join performs the same page accesses at every
-//! parallelism level, and the per-thread metric counters always sum to
-//! the totals the §5/§6 formulas are compared against.
+//! Parallel execution must not change what the cost model prices: each of
+//! the four join methods, run row at a time (`batch_size` 1), performs the
+//! same page accesses at every parallelism level, and the per-thread metric
+//! counters always sum to the totals the §5/§6 formulas are compared
+//! against.
 
 use mood_bench::{build_ref_db, RefDbSpec};
-use mood_core::algebra::{join_par, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
+use mood_core::algebra::{join, Collection, ExecutionConfig, JoinMethod, JoinRhs, Obj};
 
-fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
+fn run_join_at(method: JoinMethod, parallelism: usize) -> (usize, u64, u64, u64) {
     // A fresh database per level (same seed) gives every run an identical
     // buffer-pool starting state, so access totals are directly comparable.
     // The pool holds the working set: under capacity pressure the pool's
@@ -18,6 +19,7 @@ fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
         n_c: 400,
         n_d: 200,
         pool_frames: 64,
+        join_index: true,
         ..Default::default()
     };
     let (db, c_oids, _) = build_ref_db(&spec);
@@ -34,15 +36,8 @@ fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
     let metrics = db.metrics();
     metrics.reset();
     let before = metrics.snapshot();
-    let pairs = join_par(
-        catalog,
-        &left,
-        "d",
-        JoinRhs::Class("D"),
-        JoinMethod::HashPartition,
-        ExecutionConfig::with_parallelism(parallelism),
-    )
-    .unwrap();
+    let exec = ExecutionConfig::with_parallelism(parallelism).with_batch_size(1);
+    let pairs = join(catalog, &left, "d", JoinRhs::Class("D"), method, exec).unwrap();
     let delta = metrics.snapshot().delta(&before);
 
     // Per-thread counters are an exact decomposition of the totals.
@@ -55,7 +50,7 @@ fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
     assert_eq!(
         read_sum,
         snap.seq_pages + snap.rnd_pages + snap.idx_pages,
-        "per-thread counters must sum to the totals (parallelism {parallelism})"
+        "{method:?}: per-thread counters must sum to the totals (parallelism {parallelism})"
     );
     if parallelism > 1 && read_sum > 0 {
         assert!(
@@ -68,14 +63,16 @@ fn run_join_at(parallelism: usize) -> (usize, u64, u64, u64) {
 }
 
 #[test]
-fn hash_partition_page_totals_invariant_under_parallelism() {
-    let baseline = run_join_at(1);
-    assert!(baseline.0 > 0, "join produced pairs");
-    for parallelism in [2usize, 4, 8] {
-        let run = run_join_at(parallelism);
-        assert_eq!(
-            run, baseline,
-            "pairs/seq/rnd/idx must match sequential at parallelism {parallelism}"
-        );
+fn join_page_totals_invariant_under_parallelism() {
+    for method in JoinMethod::ALL {
+        let baseline = run_join_at(method, 1);
+        assert!(baseline.0 > 0, "{method:?}: join produced pairs");
+        for parallelism in [2usize, 4, 8] {
+            let run = run_join_at(method, parallelism);
+            assert_eq!(
+                run, baseline,
+                "{method:?}: pairs/seq/rnd/idx must match sequential at parallelism {parallelism}"
+            );
+        }
     }
 }

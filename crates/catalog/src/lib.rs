@@ -696,7 +696,9 @@ impl Catalog {
                 attribute: attribute.to_string(),
             }
         })?;
-        if !attr.ty.is_atomic() && !matches!(attr.ty, TypeDescriptor::Reference(_)) {
+        // Atomic attributes, and references: single-valued, or a set/list
+        // of references (a binary join index holds one entry per element).
+        if !attr.ty.is_atomic() && attr.ty.referenced_class().is_none() {
             return Err(CatalogError::NotAtomic {
                 class: class.to_string(),
                 attribute: attribute.to_string(),
@@ -979,22 +981,14 @@ impl Catalog {
     }
 
     fn index_insert_one(&self, info: &IndexInfo, value: &Value, oid: Oid) -> Result<()> {
-        let Some(field) = value.field(&info.attribute) else {
-            return Ok(());
-        };
-        if field.is_null() {
-            return Ok(()); // nulls are not indexed
-        }
-        let key = encode_key(field).map_err(|_| CatalogError::NotAtomic {
-            class: info.class.clone(),
-            attribute: info.attribute.clone(),
-        })?;
-        match info.kind {
-            IndexKind::BTree => self.sm.open_btree(info.file).insert(&key, oid)?,
-            IndexKind::Hash => self
-                .sm
-                .open_hash(info.file, info.buckets)
-                .insert(&key, oid)?,
+        for key in index_keys(info, value)? {
+            match info.kind {
+                IndexKind::BTree => self.sm.open_btree(info.file).insert(&key, oid)?,
+                IndexKind::Hash => self
+                    .sm
+                    .open_hash(info.file, info.buckets)
+                    .insert(&key, oid)?,
+            }
         }
         Ok(())
     }
@@ -1010,24 +1004,16 @@ impl Catalog {
                 .collect()
         };
         for info in infos {
-            let Some(field) = value.field(&info.attribute) else {
-                continue;
-            };
-            if field.is_null() {
-                continue;
-            }
-            let key = encode_key(field).map_err(|_| CatalogError::NotAtomic {
-                class: info.class.clone(),
-                attribute: info.attribute.clone(),
-            })?;
-            match info.kind {
-                IndexKind::BTree => {
-                    self.sm.open_btree(info.file).delete(&key, oid)?;
-                }
-                IndexKind::Hash => {
-                    self.sm
-                        .open_hash(info.file, info.buckets)
-                        .delete(&key, oid)?;
+            for key in index_keys(&info, value)? {
+                match info.kind {
+                    IndexKind::BTree => {
+                        self.sm.open_btree(info.file).delete(&key, oid)?;
+                    }
+                    IndexKind::Hash => {
+                        self.sm
+                            .open_hash(info.file, info.buckets)
+                            .delete(&key, oid)?;
+                    }
                 }
             }
         }
@@ -1637,10 +1623,58 @@ fn remap_refs(value: &Value, old_file: FileId, map: &HashMap<Oid, Oid>) -> Optio
     }
 }
 
+/// The index keys of an object's indexed attribute: none for a missing or
+/// Null value (nulls are not indexed), one per element for a set or list
+/// of references, one otherwise.
+fn index_keys(info: &IndexInfo, value: &Value) -> Result<Vec<Vec<u8>>> {
+    let encode = |v: &Value| {
+        encode_key(v).map_err(|_| CatalogError::NotAtomic {
+            class: info.class.clone(),
+            attribute: info.attribute.clone(),
+        })
+    };
+    match value.field(&info.attribute) {
+        None => Ok(Vec::new()),
+        Some(Value::Set(items) | Value::List(items)) => {
+            items.iter().filter(|v| !v.is_null()).map(encode).collect()
+        }
+        Some(v) if v.is_null() => Ok(Vec::new()),
+        Some(v) => Ok(vec![encode(v)?]),
+    }
+}
+
 /// Deep-equality resolution through the catalog's extents.
 impl Resolver for Catalog {
     fn resolve(&self, oid: Oid) -> Option<Value> {
         self.get_object(oid).ok().map(|(_, v)| v)
+    }
+}
+
+/// A catalog [`Resolver`] with a memo: each distinct OID is fetched once
+/// for the resolver's lifetime. Scoped to one batch of rows, it lets path
+/// predicates such as `v.drivetrain.engine.cylinders = 4` stop re-chasing
+/// shared targets row by row, so page accesses shrink but never grow.
+pub struct CachingResolver<'a> {
+    catalog: &'a Catalog,
+    cache: std::cell::RefCell<HashMap<Oid, Option<Value>>>,
+}
+
+impl<'a> CachingResolver<'a> {
+    pub fn new(catalog: &'a Catalog) -> CachingResolver<'a> {
+        CachingResolver {
+            catalog,
+            cache: std::cell::RefCell::new(HashMap::new()),
+        }
+    }
+}
+
+impl Resolver for CachingResolver<'_> {
+    fn resolve(&self, oid: Oid) -> Option<Value> {
+        self.cache
+            .borrow_mut()
+            .entry(oid)
+            .or_insert_with(|| self.catalog.resolve(oid))
+            .clone()
     }
 }
 

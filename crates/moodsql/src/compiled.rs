@@ -12,13 +12,11 @@
 //! interpreter, so compilation is a pure fast path, never a behavior
 //! change.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use mood_catalog::Catalog;
 use mood_datamodel::{BasicType, Resolver, TypeDescriptor, Value};
-use mood_storage::Oid;
 use mood_funcman::expr::{BinOp, UnOp};
 use mood_funcman::{
     compile_program, CompileOpts, CompiledPredicate, EvalCtx, Exception, ExceptionKind, Expr as FExpr,
@@ -28,45 +26,6 @@ use mood_funcman::{
 use crate::ast::{CmpOp, Expr, Lit};
 use crate::error::{Result, SqlError};
 use crate::exec::Row;
-
-/// Dereference through the catalog during compiled path traversal — the
-/// same lookups `Executor::eval_path` performs via `catalog.get_object`.
-pub(crate) struct CatalogResolver<'a> {
-    pub catalog: &'a Catalog,
-}
-
-impl Resolver for CatalogResolver<'_> {
-    fn resolve(&self, oid: Oid) -> Option<Value> {
-        self.catalog.get_object(oid).ok().map(|(_, v)| v)
-    }
-}
-
-/// A [`CatalogResolver`] with a per-batch memo: path predicates over a
-/// batch of rows often dereference the same shared sub-objects, so each
-/// distinct OID hits the catalog once per batch instead of once per row.
-pub(crate) struct CachingResolver<'a> {
-    catalog: &'a Catalog,
-    cache: RefCell<HashMap<Oid, Option<Value>>>,
-}
-
-impl<'a> CachingResolver<'a> {
-    pub fn new(catalog: &'a Catalog) -> CachingResolver<'a> {
-        CachingResolver {
-            catalog,
-            cache: RefCell::new(HashMap::new()),
-        }
-    }
-}
-
-impl Resolver for CachingResolver<'_> {
-    fn resolve(&self, oid: Oid) -> Option<Value> {
-        self.cache
-            .borrow_mut()
-            .entry(oid)
-            .or_insert_with(|| self.catalog.get_object(oid).ok().map(|(_, v)| v))
-            .clone()
-    }
-}
 
 /// Map a program exception back onto the interpreter's error surface:
 /// `Query` carries `eval_expr`'s own message text verbatim (re-wrapped as
@@ -95,11 +54,10 @@ impl RowPred {
                 self.var
             )));
         };
-        let resolver = CatalogResolver { catalog };
         let ctx = EvalCtx {
             self_value: &bound.value,
             args: &[],
-            resolver: Some(&resolver),
+            resolver: Some(catalog),
             dispatcher: None,
         };
         self.pred.matches(regs, &ctx).map_err(sql_err)
@@ -139,11 +97,10 @@ impl RowProg {
                 self.var
             )));
         };
-        let resolver = CatalogResolver { catalog };
         let ctx = EvalCtx {
             self_value: &bound.value,
             args: &[],
-            resolver: Some(&resolver),
+            resolver: Some(catalog),
             dispatcher: None,
         };
         self.prog.run(regs, &ctx).map_err(sql_err)

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use mood_catalog::Catalog;
+use mood_catalog::{CachingResolver, Catalog};
 use mood_cost::JoinMethod;
 use mood_datamodel::{decode_value, encode_value, Value};
 use mood_funcman::{FunctionManager, OperandDataType, Registers};
@@ -29,7 +29,7 @@ use crate::analyze::{
 };
 use crate::ast::{AggFunc, Expr, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
-use crate::compiled::{compile_proj, CachingResolver, PreparedPred, RowPred, RowProg};
+use crate::compiled::{compile_proj, PreparedPred, RowPred, RowProg};
 use crate::error::{Result, SqlError};
 use crate::parser::parse_expr;
 

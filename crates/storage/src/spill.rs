@@ -92,17 +92,13 @@ impl SpillFile {
         }
         let file = File::open(&self.path)?;
         // Hand ownership of the path (and thus unlink-on-drop) to the
-        // reader; forget self so its Drop does not unlink early. The
-        // BufWriter is taken out first so the file handle closes cleanly.
-        let path = std::mem::replace(&mut self.path, PathBuf::new());
-        let bytes = self.bytes;
-        let records = self.records;
-        std::mem::forget(self);
+        // reader. `self` then drops with an empty path: its writer's file
+        // handle closes and nothing is unlinked.
         Ok(SpillReader {
             reader: BufReader::new(file),
-            path,
-            bytes,
-            remaining: records,
+            path: std::mem::take(&mut self.path),
+            bytes: self.bytes,
+            remaining: self.records,
         })
     }
 }
