@@ -522,7 +522,7 @@ impl Catalog {
         let type_id = self.type_id(class)?;
         let heap = self.sm.open_heap(file);
         let oid = heap.insert(&Self::encode_object(type_id, &value))?;
-        self.index_insert(class, &value, oid)?;
+        self.index_insert(&self.class_indexes(class), &value, oid)?;
         Ok(oid)
     }
 
@@ -554,22 +554,30 @@ impl Catalog {
         Ok((name, value))
     }
 
-    /// Update an object in place (OID stable), maintaining indexes.
+    /// Update an object in place (OID stable), maintaining only the indexes
+    /// whose keys changed: re-inserting an unchanged key would dirty (and
+    /// log) index pages for nothing.
     pub fn update_object(&self, oid: Oid, value: Value) -> Result<()> {
         let (class, old) = self.get_object(oid)?;
         let value = self.normalize(&class, value)?;
-        self.index_delete(&class, &old, oid)?;
+        let mut changed = Vec::new();
+        for info in self.class_indexes(&class) {
+            if index_keys(&info, &old)? != index_keys(&info, &value)? {
+                changed.push(info);
+            }
+        }
+        self.index_delete(&changed, &old, oid)?;
         let type_id = self.type_id(&class)?;
         let heap = self.sm.open_heap(oid.file);
         heap.update(oid, &Self::encode_object(type_id, &value))?;
-        self.index_insert(&class, &value, oid)?;
+        self.index_insert(&changed, &value, oid)?;
         Ok(())
     }
 
     /// Delete an object, maintaining indexes.
     pub fn delete_object(&self, oid: Oid) -> Result<()> {
         let (class, old) = self.get_object(oid)?;
-        self.index_delete(&class, &old, oid)?;
+        self.index_delete(&self.class_indexes(&class), &old, oid)?;
         let heap = self.sm.open_heap(oid.file);
         heap.delete(oid)?;
         Ok(())
@@ -750,7 +758,7 @@ impl Catalog {
         // build never holds more than one object in memory.
         let mut first_err: Option<CatalogError> = None;
         self.extent_with(class, AccessHint::Sequential, &mut |oid, value| {
-            match self.index_insert_one(&info, &value, oid) {
+            match self.index_insert(std::slice::from_ref(&info), &value, oid) {
                 Ok(()) => true,
                 Err(e) => {
                     first_err = Some(e);
@@ -964,47 +972,35 @@ impl Catalog {
         self.inner.read().indexes.values().cloned().collect()
     }
 
-    fn index_insert(&self, class: &str, value: &Value, oid: Oid) -> Result<()> {
-        let infos: Vec<IndexInfo> = {
-            let inner = self.inner.read();
-            inner
-                .indexes
-                .values()
-                .filter(|i| i.class == class)
-                .cloned()
-                .collect()
-        };
-        for info in infos {
-            self.index_insert_one(&info, value, oid)?;
-        }
-        Ok(())
+    /// The indexes registered on one class.
+    fn class_indexes(&self, class: &str) -> Vec<IndexInfo> {
+        self.inner
+            .read()
+            .indexes
+            .values()
+            .filter(|i| i.class == class)
+            .cloned()
+            .collect()
     }
 
-    fn index_insert_one(&self, info: &IndexInfo, value: &Value, oid: Oid) -> Result<()> {
-        for key in index_keys(info, value)? {
-            match info.kind {
-                IndexKind::BTree => self.sm.open_btree(info.file).insert(&key, oid)?,
-                IndexKind::Hash => self
-                    .sm
-                    .open_hash(info.file, info.buckets)
-                    .insert(&key, oid)?,
+    fn index_insert(&self, infos: &[IndexInfo], value: &Value, oid: Oid) -> Result<()> {
+        for info in infos {
+            for key in index_keys(info, value)? {
+                match info.kind {
+                    IndexKind::BTree => self.sm.open_btree(info.file).insert(&key, oid)?,
+                    IndexKind::Hash => self
+                        .sm
+                        .open_hash(info.file, info.buckets)
+                        .insert(&key, oid)?,
+                }
             }
         }
         Ok(())
     }
 
-    fn index_delete(&self, class: &str, value: &Value, oid: Oid) -> Result<()> {
-        let infos: Vec<IndexInfo> = {
-            let inner = self.inner.read();
-            inner
-                .indexes
-                .values()
-                .filter(|i| i.class == class)
-                .cloned()
-                .collect()
-        };
+    fn index_delete(&self, infos: &[IndexInfo], value: &Value, oid: Oid) -> Result<()> {
         for info in infos {
-            for key in index_keys(&info, value)? {
+            for key in index_keys(info, value)? {
                 match info.kind {
                     IndexKind::BTree => {
                         self.sm.open_btree(info.file).delete(&key, oid)?;
@@ -1444,7 +1440,7 @@ impl Catalog {
         rebuilt.file = new_file;
         let mut first_err: Option<CatalogError> = None;
         self.extent_with(&info.class, AccessHint::Sequential, &mut |oid, value| {
-            match self.index_insert_one(&rebuilt, &value, oid) {
+            match self.index_insert(std::slice::from_ref(&rebuilt), &value, oid) {
                 Ok(()) => true,
                 Err(e) => {
                     first_err = Some(e);

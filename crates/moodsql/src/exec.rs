@@ -27,7 +27,7 @@ use crate::analyze::{
     op_kind, record_operator_totals, render_estimates, staged, AnalyzeRec, AnalyzeReport, StageRec,
     TermReport,
 };
-use crate::ast::{AggFunc, Expr, Lit, PathRef, SelectStmt};
+use crate::ast::{AggFunc, Expr, FromItem, Lit, PathRef, SelectStmt};
 use crate::binder::{lower, Lowered};
 use crate::compiled::{compile_proj, PreparedPred, RowPred, RowProg};
 use crate::error::{Result, SqlError};
@@ -344,6 +344,52 @@ impl<'a> Executor<'a> {
         let result = self.finish_select(stmt, rows, None, None, None)?;
         exec_span.set_rows(result.len() as u64);
         Ok(result)
+    }
+
+    /// The targets of `UPDATE`/`DELETE class var [WHERE …]`: the objects of
+    /// the class's own extent that `SELECT var FROM class var WHERE …`
+    /// binds, found through the same lowering, optimizer and plan executor,
+    /// so an indexed predicate is an index probe, not an extent scan. One
+    /// `(oid, row)` per target in first-seen order: a set-valued path join
+    /// binds an object once per matching element. Every target is collected
+    /// before the caller writes, so an UPDATE that moves an indexed key
+    /// cannot revisit a row (the Halloween problem).
+    pub fn dml_targets(
+        &self,
+        class: &str,
+        var: &str,
+        where_clause: Option<&Expr>,
+    ) -> Result<Vec<(Oid, Row)>> {
+        let stmt = SelectStmt {
+            distinct: false,
+            projection: vec![Expr::Path(PathRef {
+                var: var.to_string(),
+                segments: Vec::new(),
+            })],
+            from: vec![FromItem {
+                class: class.to_string(),
+                every: false,
+                minus: Vec::new(),
+                var: var.to_string(),
+            }],
+            where_clause: where_clause.cloned(),
+            group_by: Vec::new(),
+            having: None,
+            order_by: Vec::new(),
+        };
+        let lowered = {
+            let _span = self.tracer.span("bind", self.catalog.storage().metrics());
+            lower(self.catalog, &stmt)?
+        };
+        let mut seen = HashSet::new();
+        Ok(self
+            .run_optimized(&stmt, &lowered)?
+            .into_iter()
+            .filter_map(|row| {
+                let oid = row.get(var)?.oid?;
+                seen.insert(oid).then_some((oid, row))
+            })
+            .collect())
     }
 
     /// Execute with full instrumentation: the `EXPLAIN ANALYZE` statement.
